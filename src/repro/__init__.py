@@ -59,7 +59,6 @@ from .rwmp import (
 from .search import (
     AnytimeSnapshot,
     BranchAndBoundSearch,
-    CandidateTree,
     NaiveSearch,
     UpperBoundEstimator,
     enumerate_answers,
@@ -130,7 +129,7 @@ __all__ = [
     "DampeningModel", "RWMPScorer", "pass_messages",
     "explain_tree", "render_explanation",
     # search
-    "CandidateTree", "NaiveSearch", "BranchAndBoundSearch",
+    "NaiveSearch", "BranchAndBoundSearch",
     "AnytimeSnapshot",
     "UpperBoundEstimator", "enumerate_answers",
     # indexing

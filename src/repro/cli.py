@@ -693,18 +693,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--load", default="", help="saved deployment directory"
     )
     p_search.add_argument(
-        "--engine", choices=("arena", "object", "sharded"), default="arena",
-        help="branch-and-bound candidate representation (the flat "
-             "arena is the fast default; the object path is the "
-             "reference implementation kept for bisection; sharded "
-             "partitions the graph at star-table cut points and runs "
-             "arena searches per shard with bound-based early "
-             "termination)",
+        "--engine", choices=("arena", "sharded"), default="arena",
+        help="branch-and-bound engine (arena: one search over the flat "
+             "candidate arena; sharded: partitions the graph at "
+             "star-table cut points and runs arena searches per shard "
+             "with bound-based early termination)",
     )
     p_search.add_argument(
         "--shards", type=int, default=None,
         help="shard count for --engine sharded (defaults to the "
-             "configured count; ignored by the other engines)",
+             "configured count; ignored by the arena engine)",
     )
     p_search.add_argument(
         "--json", action="store_true", help="also print the ranking as JSON"
@@ -879,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query deadline override",
     )
     p_client.add_argument(
-        "--engine", choices=("arena", "object", "sharded"), default=None
+        "--engine", choices=("arena", "sharded"), default=None
     )
     p_client.add_argument(
         "--json", action="store_true", help="print the raw response JSON"

@@ -83,27 +83,15 @@ class SearchParams:
             every keyword) or ``"or"`` (answers may cover any non-empty
             subset; the SPARK-style relaxation).  OR mode widens the
             answer space and weakens the search bounds accordingly.
-        lazy_bounds: when True (default), candidates are admitted on a
-            cheap inherited bound and the full ``ce/pe`` bound is only
-            computed when they reach the head of the priority queue
-            (lazy best-first evaluation — see docs/ALGORITHMS.md §2.6).
-            Both modes return identical top-k up to tie classes; False
-            restores the eager per-candidate bound evaluation, mainly
-            useful for differential testing and benchmarking.
-        engine: candidate representation of the lazy search loop.
-            ``"arena"`` (default) stores candidates in a flat columnar
-            arena (:mod:`repro.search.arena`) — admission is an array
-            append and heap entries carry integer candidate ids;
-            ``"object"`` keeps the per-candidate
-            :class:`~repro.search.candidate.CandidateTree` objects (the
-            reference implementation the arena is differentially pinned
-            against); ``"sharded"`` partitions the graph at star-table
-            cut points and runs one arena search per shard with global
-            bound-based early termination
-            (:mod:`repro.search.sharded`).  All engines return identical
-            top-k up to tie classes.  Eager evaluation
-            (``lazy_bounds=False``) always runs the object path
-            regardless of this setting.
+        engine: ``"arena"`` (default) runs one branch-and-bound search
+            over a flat columnar candidate arena
+            (:mod:`repro.search.arena`), admitting candidates on a cheap
+            inherited bound and computing the full ``ce/pe`` bound only
+            at the head of the priority queue (docs/ALGORITHMS.md §2.6);
+            ``"sharded"`` partitions the graph at star-table cut points
+            and runs one arena search per shard with global bound-based
+            early termination (:mod:`repro.search.sharded`).  Both
+            return identical top-k up to tie classes.
         shards: shard count for ``engine="sharded"`` (ignored by the
             single-process engines).
     """
@@ -113,7 +101,6 @@ class SearchParams:
     strict_merge: bool = True
     max_candidates: int = 0
     semantics: str = "and"
-    lazy_bounds: bool = True
     engine: str = "arena"
     shards: int = 4
 
@@ -128,10 +115,9 @@ class SearchParams:
             raise ReproError(
                 f"semantics must be 'and' or 'or', got {self.semantics!r}"
             )
-        if self.engine not in ("arena", "object", "sharded"):
+        if self.engine not in ("arena", "sharded"):
             raise ReproError(
-                f"engine must be 'arena', 'object', or 'sharded', "
-                f"got {self.engine!r}"
+                f"engine must be 'arena' or 'sharded', got {self.engine!r}"
             )
         if self.shards < 1:
             raise ReproError(f"shards must be >= 1, got {self.shards}")

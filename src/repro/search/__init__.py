@@ -1,6 +1,5 @@
 """Top-k answer generation: naive, exhaustive, and branch-and-bound."""
 
-from .candidate import CandidateTree
 from .naive import NaiveSearch
 from .enumerate import enumerate_answers
 from .bounds import UpperBoundEstimator
@@ -13,7 +12,6 @@ from .branch_and_bound import (
 from .sharded import ShardedExecutor, ShardedSearch, ShardWorkerPool
 
 __all__ = [
-    "CandidateTree",
     "CandidateArena",
     "NaiveSearch",
     "enumerate_answers",

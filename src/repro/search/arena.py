@@ -1,14 +1,12 @@
-"""Flat candidate arena: columnar storage for the lazy search loop.
+"""Flat candidate arena: the columnar storage of the search loop.
 
-After PR 5 the lazy search admits ~6x more candidates than the eager
-configuration ever evaluates, so per-candidate *admission* cost — object
-allocation, tuple maintenance, dict-of-tuples transfer maps — dominates
-the search phase.  This module replaces the per-object
-:class:`~repro.search.candidate.CandidateTree` representation with a
-**flat arena**: one :class:`CandidateArena` per search run holding every
-candidate as a row across parallel ``array('q')``/``array('d')`` columns
-(zero-copy viewable as numpy arrays via :meth:`CandidateArena.column`),
-indexed by an integer candidate id.
+The branch-and-bound search (Algorithm 1) admits candidates orders of
+magnitude more often than it expands them, so per-candidate *admission*
+cost dominates the search phase.  One :class:`CandidateArena` per search
+run holds every candidate as a row across parallel
+``array('q')``/``array('d')`` columns (zero-copy viewable as numpy
+arrays via :meth:`CandidateArena.column`), indexed by an integer
+candidate id; :func:`arena_snapshots` is the search loop over it.
 
 Layout
 ------
@@ -38,9 +36,8 @@ Two Python-list side columns carry the per-candidate ``cover`` bitmask
 (arbitrary keyword count) and the memoized little-endian byte images of
 the node/edge slices, used both as dedup signatures and as heap-key
 tie-break components (bytes compare lexicographically — a total order
-over admitted candidates, though not the same order as the object
-path's int tuples; Theorem 1 makes the returned top-k identical up to
-tie classes either way, which is what the differential harness pins).
+over admitted candidates, so the expansion order is a pure function of
+the input; docs/ALGORITHMS.md §2.5).
 
 Admission is an array append; pruned or duplicate candidates are
 reclaimed by :meth:`CandidateArena.rollback` to the
@@ -57,10 +54,11 @@ always tightened before they expand, so their lists exist), which keeps
 the admit path free of per-node float work.  Admit-time bounding uses
 the inherited parent bound capped by
 :meth:`~repro.search.bounds.UpperBoundEstimator.admit_cap` — the
-index-assisted completion cap (docs/ALGORITHMS.md §2.8).
+index-assisted completion cap (docs/ALGORITHMS.md §2.8).  The full
+bound of a row is :meth:`~repro.search.bounds.UpperBoundEstimator.bound`
+over the row's factor lists.
 
-See docs/PERFORMANCE.md §9 for the measured memory-per-candidate and
-admission-throughput effects.
+See docs/PERFORMANCE.md §9 for the measured memory-per-candidate.
 """
 
 from __future__ import annotations
@@ -353,20 +351,17 @@ class CandidateArena:
 
 
 def arena_snapshots(search, heartbeat: int = 0):
-    """The arena-backed lazy search loop (Algorithm 1, engine="arena").
+    """The branch-and-bound search loop (Algorithm 1) over arena rows.
 
     A generator with the exact contract of
     :meth:`BranchAndBoundSearch.snapshots` (including the ``heartbeat``
-    cadence for deadline-bounded consumers), dispatched to when
-    ``params.lazy_bounds and params.engine == "arena"``.  Control flow
-    mirrors the object path statement for statement — same admission
-    order (diameter prune, signature dedup, answer offer, distance
-    prune, bound, Lemma-1 prune, registration, push), same stop rule,
-    head tightening, re-push and merge-partner discipline — so the two
-    engines return identical top-k up to tie classes (pinned by the
-    differential harness).  Only the candidate representation differs:
-    rows in a :class:`CandidateArena` instead of ``CandidateTree``
-    objects, with heap entries carrying integer candidate ids.
+    cadence for deadline-bounded consumers), which dispatches here.
+    Admission runs diameter prune, signature dedup, answer offer,
+    distance prune, bound, Lemma-1 prune, registration, push; the loop
+    pops the head, stops on the bound test, tightens cheaply-admitted
+    heads (re-pushing them when the tight bound falls below the next
+    head), and expands with pop-time merges.  Heap entries carry
+    integer candidate ids.
     """
     from .branch_and_bound import AnytimeSnapshot
 
@@ -381,12 +376,12 @@ def arena_snapshots(search, heartbeat: int = 0):
     semantics = params.semantics
     max_diameter = params.diameter
     strict = params.strict_merge
-    use_cap = search.use_admit_cap and semantics == "and"
     debug = search._debug_validate
     per_keyword = match.per_keyword
     index = bounds.index
     cheap_bound = search._cheap_bound
     admit_cap = bounds.admit_cap
+    full_bound = bounds.bound
     perf = time.perf_counter
 
     keywords = list(match.keywords)
@@ -498,7 +493,10 @@ def arena_snapshots(search, heartbeat: int = 0):
         old_fid = pf[old_root]
         fs = arena.flist_start[old_fid]
         fl = arena.flist_len[old_fid]
-        nbrs = list(arena.flist_nbr[fs:fs + fl])
+        # A merged root's list is the concatenation of its operands',
+        # so sort: the denominator sums in ascending neighbor order,
+        # exactly as UpperBoundEstimator._tree_transfer does.
+        nbrs = sorted(arena.flist_nbr[fs:fs + fl])
         insort(nbrs, root)
         out = graph.out_edges(old_root)
         den = 0.0
@@ -523,20 +521,11 @@ def arena_snapshots(search, heartbeat: int = 0):
     flist_tau = arena.flist_tau
 
     def tighten(cid: int) -> float:
-        """The full ``ce/pe`` bound of one row (mirrors ``upper_bound``).
-
-        Identical float operations in the same order as the object
-        path's factor-list bound, reading contiguous ``flist`` arrays;
-        deferred factor lists are built here first.
-        """
+        """The full ``ce/pe`` bound of one row (building its deferred
+        factor lists first), via :meth:`UpperBoundEstimator.bound`."""
         t0 = perf()
         if arena.fmap_start[cid] == NO_ID:
             build_fmap(cid)
-        root = arena.root[cid]
-        sources = arena.sources_of(cid)
-        n_sources = len(sources)
-        gen = scorer.generation
-        d_root = rate(root)
         fid_of = arena.fmap_of(cid)
 
         def deliver(source: int, initial: float) -> Dict[int, float]:
@@ -557,64 +546,13 @@ def arena_snapshots(search, heartbeat: int = 0):
                             stack.append((nbr, node, kept))
             return out
 
-        gens = []
-        fbar = []
-        fbar_to_root_min = float("inf")
-        for u in sources:
-            g = gen(u)
-            gens.append(g)
-            delivered = deliver(u, g)
-            fbar.append(delivered)
-            to_root = g if u == root else delivered.get(root, 0.0)
-            if to_root < fbar_to_root_min:
-                fbar_to_root_min = to_root
-
         missing = (
             () if semantics == "or" else missing_of(arena.cover[cid])
         )
-        if missing or n_sources == 1:
-            inside = deliver(root, 1.0)
-            inside[root] = 1.0
-        else:
-            inside = {}
-        node_set = set(arena.nodes_of(cid))
-        g_of = {
-            k: bounds._best_outside_gen(k, node_set, root, d_root)
-            for k in missing
-        }
-
-        total = 0.0
-        for i in range(n_sources):
-            v = sources[i]
-            best = float("inf")
-            for j in range(n_sources):
-                if j != i:
-                    val = fbar[j].get(v, 0.0)
-                    if val < best:
-                        best = val
-            if missing:
-                inside_v = inside.get(v, 0.0)
-                for k in missing:
-                    term = g_of[k] * inside_v
-                    if term < best:
-                        best = term
-            if best == float("inf"):
-                # Lone complete source (see upper_bound): T may equal C,
-                # or gain sources whose deliveries bound v's new min.
-                outside_best = max(
-                    (
-                        bounds._best_outside_gen(k, node_set, root, d_root)
-                        for k in match.keywords
-                    ),
-                    default=0.0,
-                )
-                best = max(gens[i], outside_best * inside.get(v, 0.0))
-            total += best
-        ce = total / n_sources
-        pe = bounds._potential_estimate(
-            root, node_set, fbar_to_root_min, missing
+        ub = full_bound(
+            arena.root[cid], arena.sources_of(cid),
+            set(arena.nodes_of(cid)), missing, deliver,
         )
-        ub = max(ce, pe)
         arena.ub[cid] = ub
         stats.bound_seconds += perf() - t0
         stats.bound_evals += 1
@@ -626,7 +564,7 @@ def arena_snapshots(search, heartbeat: int = 0):
               parent, partner, inherited):
         """Admit one candidate built from ascending component lists.
 
-        Mirrors the object path's ``admit`` closure; ``inherited`` is
+        ``inherited`` is the minimum of the parents' latest bounds, or
         None for the tight-bounded initial candidates.  Returns the new
         candidate id, or None when pruned or duplicate (the appended
         row is then rolled back).
@@ -673,9 +611,11 @@ def arena_snapshots(search, heartbeat: int = 0):
                 top_k.offer(answer)
         missing = () if semantics == "or" else missing_of(cover)
         if missing:
-            # completion_impossible, arena-native: O(n * |M|) membership
-            # scans over the (small) node list instead of building
-            # per-keyword outside lists from scratch.
+            # Completion impossible: some missing keyword has no match
+            # outside the tree, or (with an index) every such match lies
+            # beyond the remaining diameter budget.  Each missing
+            # keyword's matches are scanned against the (small) node
+            # list.
             impossible = False
             budget = max_diameter - depth
             for k in missing:
@@ -701,8 +641,8 @@ def arena_snapshots(search, heartbeat: int = 0):
                 return None
         if inherited is not None:
             t0 = perf()
-            ub = cheap_bound(inherited, None)
-            if use_cap and missing:
+            ub = cheap_bound(inherited)
+            if missing:  # the admit cap is AND-only; OR has no missing
                 cap = admit_cap(root, missing, srcs)
                 if cap < ub:
                     ub = cap
@@ -716,8 +656,8 @@ def arena_snapshots(search, heartbeat: int = 0):
             tight = True
         if top_k.full and ub <= top_k.min_score():
             # Lemma 1: nothing expandable from this row can beat the
-            # kept top-k; reclaim it (the signature stays in `seen`,
-            # matching the object path's drop-after-dedup semantics).
+            # kept top-k; reclaim it (the signature stays in `seen`, so
+            # a later duplicate is dropped without re-bounding).
             stats.pruned_bound += 1
             arena.rollback(mark)
             if debug:

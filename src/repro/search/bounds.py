@@ -40,13 +40,12 @@ missing keyword must exist in any completion).  Every node of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.datagraph import DataGraph
 from ..model.jtt import JoinedTupleTree
 from ..rwmp.scoring import RWMPScorer
 from ..text.matcher import MatchSets
-from .candidate import CandidateTree
 
 
 class UpperBoundEstimator:
@@ -252,8 +251,8 @@ class UpperBoundEstimator:
         """``G_k``: best ``gen(x) * ret(x -> root)`` over ``En(k) \\ C``.
 
         ``nodes`` is any set-like container of the candidate's node ids —
-        a ``frozenset`` on the object path, a plain ``set`` built from an
-        arena slice on the arena path.
+        a plain ``set`` built from an arena slice in the engine, a tree's
+        ``frozenset`` in :meth:`tree_bound`.
         """
         best = 0.0
         for gen, node in self._keyword_candidates(keyword):
@@ -280,9 +279,8 @@ class UpperBoundEstimator:
         ``x`` except the per-candidate pieces (tree membership, missing
         keywords) is a function of the root alone, and a root is shared
         by thousands of candidates in one search.  The table preserves
-        the iteration order of ``match.all_nodes`` so the early-exit
-        point — and hence the returned value — is identical to the
-        uncached reference.
+        the iteration order of ``match.all_nodes``, which fixes the
+        early-exit point — and hence the returned value.
         """
         cached = self._pe_cache.get(root)
         if cached is None:
@@ -327,8 +325,7 @@ class UpperBoundEstimator:
         ``pe`` is the max of this per-``x`` bound over all possible
         additions; nodes matching every missing keyword fall back to the
         first family only.  The per-``x`` retention factors come from the
-        memoized per-root table (:meth:`_pe_entries`); the returned value
-        is bitwise identical to :meth:`_potential_estimate_reference`.
+        memoized per-root table (:meth:`_pe_entries`).
         """
         caps = {k: self._max_gen_outside(k, nodes) for k in missing}
         best = 0.0
@@ -348,47 +345,10 @@ class UpperBoundEstimator:
                 break  # cannot grow further
         return best
 
-    def _potential_estimate_reference(
-        self,
-        cand: CandidateTree,
-        fbar_min: float,
-        missing,
-    ) -> float:
-        """The uncached ``pe`` (see :meth:`_potential_estimate`).
-
-        Recomputes every retention factor from the graph on each call;
-        kept verbatim as the independent implementation the memoized
-        fast path is differentially checked against, and as part of the
-        ``upper_bound_reference`` benchmark baseline.
-        """
-        rate = self.scorer.dampening.rate
-        caps = {k: self._max_gen_outside(k, cand.tree.nodes) for k in missing}
-        best = 0.0
-        for x in self.match.all_nodes:
-            if x in cand.tree.nodes:
-                continue
-            d_x = rate(x)
-            if self.index is not None:
-                ret = min(d_x, self._index_retention(cand.root, x))
-            elif self._adjacent(cand.root, x):
-                ret = d_x
-            else:
-                # non-adjacent: charge the forced intermediate hop
-                ret = d_x * self._max_neighbor_rate(cand.root)
-            bound = fbar_min * ret
-            x_keywords = self.match.keywords_of.get(x, frozenset())
-            for keyword in missing:
-                if keyword not in x_keywords:
-                    bound = min(bound, caps[keyword] * d_x)
-            best = max(best, bound)
-            if best >= fbar_min * self._max_enq_rate():
-                break  # cannot grow further
-        return best
-
     def _tree_transfer(
         self, tree: JoinedTupleTree, root: int
-    ) -> Tuple[Dict[int, Tuple[int, ...]], Dict[Tuple[int, int], float]]:
-        """Per-directed-edge transfer factors with the root split freed.
+    ) -> Dict[int, Tuple[Tuple[int, float], ...]]:
+        """Per-node transfer factor lists with the root split freed.
 
         The delivery of one message unit across edge ``a -> b`` is
         ``share(a -> b) * d_b`` with ``share = w(a, b) / den(a)`` over
@@ -397,47 +357,27 @@ class UpperBoundEstimator:
         the root's denominator).  A delivery between any two tree nodes
         is then the product of the factors along their unique path, which
         lets every per-source pass run without touching the graph.
+
+        Returns ``node -> ((neighbor, factor), ...)`` over ascending
+        neighbors — the layout the arena engine maintains incrementally
+        (its factor lists equal this rebuild exactly).
         """
         rate = self.scorer.dampening.rate
-        adj: Dict[int, Tuple[int, ...]] = {
-            n: tuple(sorted(tree.neighbors(n))) for n in tree.nodes
-        }
-        tau: Dict[Tuple[int, int], float] = {}
+        factors: Dict[int, Tuple[Tuple[int, float], ...]] = {}
         for a in tree.nodes:
-            out = self.graph.out_edges(a)
+            nbrs = sorted(tree.neighbors(a))
             if a == root:
-                for b in adj[a]:
-                    tau[(a, b)] = rate(b)
+                factors[a] = tuple((b, rate(b)) for b in nbrs)
                 continue
-            den = sum(out.get(b, 0.0) for b in adj[a])
-            for b in adj[a]:
-                share = out.get(b, 0.0) / den if den > 0.0 else 0.0
-                tau[(a, b)] = share * rate(b)
-        return adj, tau
-
-    @staticmethod
-    def _deliver(
-        adj: Dict[int, Tuple[int, ...]],
-        tau: Dict[Tuple[int, int], float],
-        source: int,
-        initial: float,
-    ) -> Dict[int, float]:
-        """Deliveries from ``source`` to every other node under ``tau``."""
-        delivered: Dict[int, float] = {}
-        if initial <= 0.0:
-            return {n: 0.0 for n in adj if n != source}
-        stack = [(source, -1, initial)]
-        while stack:
-            node, parent, value = stack.pop()
-            for nbr in adj[node]:
-                if nbr != parent:
-                    kept = value * tau[(node, nbr)]
-                    delivered[nbr] = kept
-                    stack.append((nbr, node, kept))
-        for n in adj:
-            if n != source and n not in delivered:
-                delivered[n] = 0.0
-        return delivered
+            out = self.graph.out_edges(a)
+            den = sum(out.get(b, 0.0) for b in nbrs)
+            if den > 0.0:
+                factors[a] = tuple(
+                    (b, out.get(b, 0.0) / den * rate(b)) for b in nbrs
+                )
+            else:
+                factors[a] = tuple((b, 0.0) for b in nbrs)
+        return factors
 
     @staticmethod
     def _deliver_factors(
@@ -445,14 +385,12 @@ class UpperBoundEstimator:
         source: int,
         initial: float,
     ) -> Dict[int, float]:
-        """Delivery pass over per-node ``(neighbor, factor)`` lists.
+        """Deliveries from ``source`` to every other tree node.
 
-        Same semantics as :meth:`_deliver`, but the transfer factor
-        rides along with the neighbor in the candidate's structurally
-        shared factor lists (:mod:`repro.search.candidate`), so the hot
-        loop never hashes an edge tuple or rebuilds adjacency.  A
-        non-positive initial value short-circuits to an empty mapping —
-        read results with ``.get(node, 0.0)``.
+        A stack DFS over per-node ``(neighbor, factor)`` lists; each
+        delivered value is the product of the factors along the path.
+        A non-positive initial value short-circuits to an empty mapping
+        — read results with ``.get(node, 0.0)``.
         """
         out: Dict[int, float] = {}
         if initial <= 0.0:
@@ -472,66 +410,64 @@ class UpperBoundEstimator:
 
     # -------------------------------------------------------------- bounds
 
-    def upper_bound(self, cand: CandidateTree) -> float:
+    def bound(
+        self,
+        root: int,
+        sources: Sequence[int],
+        nodes,
+        missing: Sequence[str],
+        deliver: Callable[[int, float], Dict[int, float]],
+    ) -> float:
         """``ub(C) = max(ce(C), pe(C))`` — admissible by Lemma 1.
 
-        Fast path: when the candidate carries incrementally maintained
-        transfer factor lists (see :mod:`repro.search.candidate`) they
-        are used directly — a grow/merge chain never rebuilds adjacency
-        or the per-edge ``tau`` map, and the delivery passes iterate the
-        candidate's shared factor lists.  Candidates built without a
-        :class:`~repro.search.candidate.TransferContext` fall back to
-        the full :meth:`_tree_transfer` rebuild; both paths multiply
-        identical factors along identical paths, so the bound value is
-        bitwise the same (pinned by tests/test_properties_search_cache).
+        The one ``ce/pe`` computation: the arena engine's head
+        tightening and :meth:`tree_bound` both call it, differing only
+        in where the transfer factors behind ``deliver`` come from.
+
+        Args:
+            root: the candidate's root node.
+            sources: its non-free nodes, ascending (the ``ce`` average
+                sums in this order).
+            nodes: any set-like container of its node ids.
+            missing: the query keywords it does not cover (empty under
+                OR semantics, where no keyword is required).
+            deliver: ``deliver(source, initial)`` returns a fresh dict of
+                the deliveries from ``source`` to the other tree nodes
+                under the root-freed transfer factors; absent nodes read
+                as 0.
         """
-        tree = cand.tree
-        root = cand.root
-        sources = cand.sources(self.match)
-        if not sources:
+        n_sources = len(sources)
+        if not n_sources:
             return 0.0
         gen = self.scorer.generation
-        rate = self.scorer.dampening.rate
-        d_root = rate(root)
-
-        factors = cand.transfer
-        if factors is None:
-            adj, tau = self._tree_transfer(tree, root)
-            factors = {
-                a: tuple((b, tau[(a, b)]) for b in adj[a]) for a in adj
-            }
-        deliver = self._deliver_factors
+        d_root = self.scorer.dampening.rate(root)
         gens = []
         fbar = []
         fbar_to_root_min = float("inf")
         for u in sources:
             g = gen(u)
             gens.append(g)
-            delivered = deliver(factors, u, g)
+            delivered = deliver(u, g)
             fbar.append(delivered)
             to_root = g if u == root else delivered.get(root, 0.0)
             if to_root < fbar_to_root_min:
                 fbar_to_root_min = to_root
 
-        if self.semantics == "or":
-            missing: frozenset = frozenset()
-        else:
-            missing = self._all_keywords - cand.covered
-        n_sources = len(sources)
         if missing or n_sources == 1:
             # `inside` feeds only the missing-keyword terms and the
             # lone-source fallback; skip the delivery pass otherwise.
-            inside = deliver(factors, root, 1.0)
+            inside = deliver(root, 1.0)
             inside[root] = 1.0
         else:
             inside = {}
         g_of = {
-            k: self._best_outside_gen(k, tree.nodes, root, d_root)
+            k: self._best_outside_gen(k, nodes, root, d_root)
             for k in missing
         }
 
         total = 0.0
-        for i, v in enumerate(sources):
+        for i in range(n_sources):
+            v = sources[i]
             best = float("inf")
             for j in range(n_sources):
                 if j != i:
@@ -549,7 +485,7 @@ class UpperBoundEstimator:
                 # gain extra sources whose deliveries bound v's new min.
                 outside_best = max(
                     (
-                        self._best_outside_gen(k, tree.nodes, root, d_root)
+                        self._best_outside_gen(k, nodes, root, d_root)
                         for k in self.match.keywords
                     ),
                     default=0.0,
@@ -558,103 +494,28 @@ class UpperBoundEstimator:
             total += best
         ce = total / n_sources
 
-        pe = self._potential_estimate(
-            root, tree.nodes, fbar_to_root_min, missing
-        )
+        pe = self._potential_estimate(root, nodes, fbar_to_root_min, missing)
         return max(ce, pe)
 
-    def upper_bound_reference(self, cand: CandidateTree) -> float:
-        """The dict-based eager bound (the pre-optimization reference).
+    def tree_bound(self, tree: JoinedTupleTree, root: int) -> float:
+        """:meth:`bound` of the candidate ``tree`` rooted at ``root``.
 
-        Rebuilds the full transfer map from the graph and runs dict-keyed
-        per-source delivery passes on every call.  Kept as the
-        independent implementation the fast path is differentially
-        checked against, and as the baseline of
-        ``benchmarks/test_search_speedup.py``.
+        Rebuilds the transfer factors from the graph
+        (:meth:`_tree_transfer`) and derives sources and missing
+        keywords from the match sets, trusting nothing the engine keeps
+        per candidate — the entry point of the admissibility tests and
+        of the arena's tightened-bound parity check.
         """
-        tree = cand.tree
-        root = cand.root
-        sources = tree.non_free_nodes(self.match)
-        if not sources:
-            return 0.0
-        gen = self.scorer.generation
-        rate = self.scorer.dampening.rate
-        d_root = rate(root)
-
-        adj, tau = self._tree_transfer(tree, root)
-        fbar: Dict[int, Dict[int, float]] = {
-            u: self._deliver(adj, tau, u, gen(u)) for u in sources
-        }
-        fbar_to_root = {
-            u: (gen(u) if u == root else fbar[u].get(root, 0.0))
-            for u in sources
-        }
-        inside = self._deliver(adj, tau, root, 1.0)
-        inside[root] = 1.0
-
+        factors = self._tree_transfer(tree, root)
+        deliver = self._deliver_factors
         if self.semantics == "or":
-            missing: frozenset = frozenset()
+            missing: Tuple[str, ...] = ()
         else:
-            missing = frozenset(self.match.keywords) - cand.covered
-        g_of = {
-            k: self._best_outside_gen(k, tree.nodes, root, d_root)
-            for k in missing
-        }
-
-        bounds: Dict[int, float] = {}
-        for v in sources:
-            terms = [fbar[u][v] for u in sources if u != v]
-            terms.extend(g_of[k] * inside[v] for k in missing)
-            if terms:
-                bounds[v] = min(terms)
-            else:
-                # Lone complete source: T may equal C (score = gen(v)), or
-                # gain extra sources whose deliveries bound v's new min.
-                outside_best = max(
-                    (
-                        self._best_outside_gen(k, tree.nodes, root, d_root)
-                        for k in self.match.keywords
-                    ),
-                    default=0.0,
-                )
-                bounds[v] = max(gen(v), outside_best * inside[v])
-        ce = sum(bounds.values()) / len(bounds)
-
-        pe = self._potential_estimate_reference(
-            cand, min(fbar_to_root.values()), missing
+            covered = self.match.covered_by(tree.nodes)
+            missing = tuple(
+                k for k in self.match.keywords if k not in covered
+            )
+        return self.bound(
+            root, tree.non_free_nodes(self.match), tree.nodes, missing,
+            lambda source, initial: deliver(factors, source, initial),
         )
-        return max(ce, pe)
-
-    # ------------------------------------------------------------- pruning
-
-    def completion_impossible(self, cand: CandidateTree, max_diameter: int) -> bool:
-        """Distance-based pruning: no completion can respect the cap.
-
-        For every missing keyword some matching node must eventually attach
-        through the (current or a future) root; as shown in DESIGN.md the
-        final diameter is then at least ``dist(root, En(k)) + depth(C)``,
-        which is safe to test with any *lower bound* on the distance.
-        Without an index this check is skipped (the paper's no-index
-        configuration has no distance information either).
-        """
-        if self.semantics == "or":
-            return False  # nothing is ever *required* to attach
-        missing = frozenset(self.match.keywords) - cand.covered
-        if not missing:
-            return False
-        for keyword in missing:
-            nodes = self.match.per_keyword.get(keyword, set())
-            outside = [n for n in nodes if n not in cand.tree.nodes]
-            if not outside:
-                return True  # keyword cannot be supplied at all
-            if self.index is None:
-                continue
-            budget = max_diameter - cand.depth
-            if budget < 1:
-                return True  # attaching anything would exceed the cap
-            if all(
-                self._index_distance(cand.root, n) > budget
-                for n in outside
-            ):
-                return True
-        return False

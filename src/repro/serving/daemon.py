@@ -203,7 +203,7 @@ class CIRankDaemon:
         Payload fields: ``query`` (required string), ``k``,
         ``diameter`` (ints), ``deadline_ms`` (number; overrides the
         configured default; 0 forces no deadline), ``engine``
-        (``"arena"``/``"object"``/``"sharded"``).
+        (``"arena"``/``"sharded"``; anything else is a 400).
 
         Raises:
             BadRequestError: on an invalid payload (counted as
@@ -602,8 +602,8 @@ class CIRankDaemon:
             deadline_ms = self.params.deadline_ms
         engine = payload.get("engine")
         _require(
-            engine is None or engine in ("arena", "object", "sharded"),
-            "'engine' must be 'arena', 'object', or 'sharded'",
+            engine is None or engine in ("arena", "sharded"),
+            "'engine' must be 'arena' or 'sharded'",
         )
         unknown = set(payload) - {
             "query", "k", "diameter", "deadline_ms", "engine",

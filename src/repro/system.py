@@ -278,7 +278,19 @@ class CIRankSystem:
         return index
 
     def apply_feedback(self, feedback: FeedbackModel) -> None:
-        """Re-rank importance under a feedback-biased teleport vector."""
+        """Re-rank importance under a feedback-biased teleport vector.
+
+        Raises:
+            ReproError: when a graph index is attached — its retentions
+                are functions of the dampening rates feedback changes.
+                Nothing is modified in that case.
+        """
+        if self.graph_index is not None:
+            raise ReproError(
+                "feedback changes dampening rates; detach the graph index "
+                "before apply_feedback and rebuild it (build_star_index / "
+                "build_pairs_index) afterwards"
+            )
         self.importance = pagerank(
             self.graph,
             teleport=self.params.teleport,
@@ -288,11 +300,6 @@ class CIRankSystem:
         # Cached answers were proven under the old ranking; the epoch
         # bump invalidates them lazily at their next lookup.
         self._ranking_epoch += 1
-        if self.graph_index is not None:
-            raise ReproError(
-                "feedback changes dampening rates; rebuild the graph index "
-                "(build_star_index / build_pairs_index) after apply_feedback"
-            )
 
     def apply_plan(self, plan) -> "CIRankSystem":
         """Adopt a planner recommendation (:mod:`repro.planner`).
@@ -393,16 +400,14 @@ class CIRankSystem:
             k: number of answers (defaults to the configured k).
             diameter: answer diameter cap (defaults to configured D).
             algorithm: ``"branch-and-bound"`` (default) or ``"naive"``.
-            engine: lazy-loop candidate representation — ``"arena"``
-                (flat columnar arena), ``"object"`` (per-candidate
-                trees), or ``"sharded"`` (star-cut partition searched
-                per shard with bound-based early termination;
-                :mod:`repro.search.sharded`); defaults to the
-                configured engine.  All return identical top-k up to
-                tie classes; the flag exists so a regression is one CLI
-                switch away from bisection.
+            engine: ``"arena"`` (one branch-and-bound search over the
+                flat candidate arena) or ``"sharded"`` (star-cut
+                partition searched per shard with bound-based early
+                termination; :mod:`repro.search.sharded`); defaults to
+                the configured engine.  Both return identical top-k up
+                to tie classes.
             shards: shard count for the sharded engine (defaults to the
-                configured count; ignored by the other engines).
+                configured count; ignored by the arena engine).
 
         Returns:
             Ranked answers, best first (possibly fewer than k).
@@ -495,10 +500,10 @@ class CIRankSystem:
             query_text: whitespace-separated keywords.
             k: number of answers (defaults to the configured k).
             diameter: answer diameter cap (defaults to configured D).
-            engine: ``"arena"``, ``"object"``, or ``"sharded"``
-                (defaults to configured).
+            engine: ``"arena"`` or ``"sharded"`` (defaults to
+                configured).
             shards: shard count for the sharded engine (defaults to the
-                configured count; ignored by the other engines).
+                configured count; ignored by the arena engine).
             heartbeat: yield a snapshot every ``heartbeat`` queue pops
                 even without top-k improvement (0 = improvements only);
                 deadline consumers use this to bound overshoot.

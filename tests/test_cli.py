@@ -64,11 +64,15 @@ class TestServingParsers:
     def test_client_search_flags(self):
         args = build_parser().parse_args([
             "client", "--query", "x", "--k", "3",
-            "--deadline-ms", "25", "--engine", "object", "--json",
+            "--deadline-ms", "25", "--engine", "sharded", "--json",
         ])
         assert args.query == "x" and args.k == 3
-        assert args.deadline_ms == 25.0 and args.engine == "object"
+        assert args.deadline_ms == 25.0 and args.engine == "sharded"
         assert args.json and not args.stats
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([
+                "client", "--query", "x", "--engine", "object",
+            ])
 
 
 class TestObservabilityParsers:

@@ -57,6 +57,13 @@ class TestSearchParams:
         with pytest.raises(ReproError):
             SearchParams(max_candidates=-5)
 
+    def test_engine_values(self):
+        assert SearchParams().engine == "arena"
+        assert SearchParams(engine="sharded").engine == "sharded"
+        for engine in ("object", "warp"):
+            with pytest.raises(ReproError):
+                SearchParams(engine=engine)
+
 
 class TestEdgeWeights:
     def test_table2_imdb_weights(self):

@@ -20,7 +20,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro import (
-    CandidateTree,
     CIRankSystem,
     DampeningModel,
     DataGraph,
@@ -34,6 +33,8 @@ from repro import (
 )
 from repro.exceptions import EvaluationError
 from repro.importance.pagerank import ImportanceVector
+from repro.config import SearchParams
+from repro.search.arena import NO_ID
 from repro.search.branch_and_bound import BranchAndBoundSearch
 from repro.search.bounds import UpperBoundEstimator
 from repro.testing import exhaustive_answers, random_case
@@ -63,7 +64,7 @@ def test_single_node_candidate_bounds_every_containing_answer(seed):
         for node in sorted(tree.nodes):
             if match.is_free(node):
                 continue
-            ub = estimator.upper_bound(CandidateTree.initial(node, match))
+            ub = estimator.tree_bound(JoinedTupleTree.single(node), node)
             assert ub + 1e-9 + 1e-9 * abs(ub) >= score, (
                 f"ub(initial({node})) = {ub} < score = {score} "
                 f"(seed={seed}, tree={sorted(tree.nodes)})"
@@ -94,7 +95,6 @@ def test_diameter_cap_boundary(diameter):
     dampening = DampeningModel(pagerank(g), RWMPParams())
     scorer = RWMPScorer(g, index, match, dampening)
 
-    from repro.config import SearchParams
     hits = BranchAndBoundSearch(
         g, scorer, match, SearchParams(k=3, diameter=diameter)
     ).run()
@@ -106,12 +106,23 @@ def test_diameter_cap_boundary(diameter):
     ).run()
     assert misses == []
 
-    # the distance pruner agrees with the boundary, both directions
+    # the distance pruner agrees with the boundary, both directions:
+    # with an index, both single-keyword seeds are reclaimed at D - 1
+    # and survive admission at D
     pairs = PairsIndex(g, dampening, horizon=diameter + 2)
-    estimator = UpperBoundEstimator(g, scorer, pairs)
-    cand = CandidateTree.initial(0, match)
-    assert estimator.completion_impossible(cand, max_diameter=diameter - 1)
-    assert not estimator.completion_impossible(cand, max_diameter=diameter)
+    for cap, survivors in ((diameter - 1, 0), (diameter, 2)):
+        search = BranchAndBoundSearch(
+            g, RWMPScorer(g, index, match, dampening), match,
+            SearchParams(k=3, diameter=cap), index=pairs,
+        )
+        hits = search.run()
+        assert len(hits) == (1 if cap == diameter else 0)
+        assert search.stats.pruned_distance == 2 - survivors
+        initial = [
+            cid for cid in range(len(search.last_arena))
+            if search.last_arena.parent[cid] == NO_ID
+        ]
+        assert len(initial) == survivors
 
 
 # ------------------------------- zero-importance dangling nodes (c.3)
@@ -153,11 +164,10 @@ def test_zero_importance_dangling_node():
 
     estimator = UpperBoundEstimator(g, scorer)
     for node in (0, 3):
-        ub = estimator.upper_bound(CandidateTree.initial(node, match))
+        ub = estimator.tree_bound(JoinedTupleTree.single(node), node)
         assert 0.0 <= ub < float("inf")
         assert ub + 1e-12 >= scorer.score(chain)
 
-    from repro.config import SearchParams
     answers = BranchAndBoundSearch(
         g, scorer, match, SearchParams(k=3, diameter=3)
     ).run()
@@ -181,5 +191,5 @@ def test_biased_teleport_importance_stays_usable():
     chain = JoinedTupleTree({0, 1, 2, 3}, [(0, 1), (1, 2), (2, 3)])
     score = scorer.score(chain)
     for node in (0, 3):
-        ub = estimator.upper_bound(CandidateTree.initial(node, match))
+        ub = estimator.tree_bound(JoinedTupleTree.single(node), node)
         assert ub + 1e-9 + 1e-9 * abs(ub) >= score

@@ -1,21 +1,21 @@
-"""The flat candidate arena: unit, parity, and mutation coverage.
+"""The flat candidate arena: unit, oracle, and mutation coverage.
 
 Four layers of the arena engine get falsifiable contracts here, on top
-of the ``arena-engine`` / ``object-engine`` legs already wired into
+of the ``arena-engine`` leg already wired into
 :func:`repro.testing.differential_check`:
 
 * **storage semantics** — append/mark/rollback reclaim exactly the
   region added since the mark, shared pools stay consistent, and
   ``column()`` exposes real zero-copy numpy views;
-* **engine parity** — the final ``AnytimeSnapshot.gap`` under the
-  arena is bitwise-equal to the object path's across seeded generator
-  cases, the two engines return the same top-k tie classes, and
-  ``arena_mark`` is the arena's high-water stamp (``None`` on the
-  object path);
+* **oracle agreement** — across seeded generator cases, every anytime
+  snapshot's certificate holds against the exhaustive answer space,
+  the final top-k has the oracle's exact score profile, and
+  ``arena_mark`` is the arena's high-water stamp;
 * **bound parity** — for every *tightened* arena row, rebuilding the
-  candidate as an object tree (``CandidateTree.from_arena``) and
-  running the from-scratch reference bound reproduces the arena's
-  ``ub`` column bitwise — same float operations in the same order;
+  candidate through the validating tree constructor and bounding it
+  with ``UpperBoundEstimator.tree_bound`` (transfer factors rebuilt
+  from the graph) reproduces the arena's ``ub`` column bitwise — both
+  run the one ``UpperBoundEstimator.bound`` over identical factors;
 * **mutation sensitivity** — a corrupted cover slice and a deflated
   (inadmissible) admit cap are each caught by the differential oracle
   within a bounded seed sweep, while an inflated (loose but
@@ -34,7 +34,7 @@ import dataclasses
 
 import pytest
 
-from repro import CIRankSystem
+from repro import CIRankSystem, JoinedTupleTree
 from repro.search import arena as arena_module
 from repro.search.arena import (
     NO_ID,
@@ -45,8 +45,12 @@ from repro.search.arena import (
 )
 from repro.search.bounds import UpperBoundEstimator
 from repro.search.branch_and_bound import BranchAndBoundSearch
-from repro.search.candidate import CandidateTree
-from repro.testing import DifferentialFailure, check_case, random_case
+from repro.testing import (
+    DifferentialFailure,
+    check_case,
+    exhaustive_answers,
+    random_case,
+)
 from repro.utils.lru import LRUCache
 
 #: Seeds to try before concluding a mutation went unnoticed (mirrors
@@ -56,20 +60,23 @@ SWEEP = 80
 #: Seeds for the deterministic parity sweeps.
 PARITY_SEEDS = 25
 
-#: Per-search cap on tightened rows re-checked against the reference
-#: bound (the reference recomputes transfer state from scratch).
+#: Per-search cap on tightened rows re-checked against ``tree_bound``
+#: (which recomputes transfer state from scratch).
 RECHECK_CAP = 120
 
+#: Slack for comparing admissible float bounds against scores.
+BOUND_SLACK = 1e-9
 
-def _search_for_seed(seed: int, engine: str, **overrides):
-    """Build one lazy search (plus its match) for a generated case.
+
+def _search_for_seed(seed: int):
+    """Build one arena search (plus its match) for a generated case.
 
     Returns None when the case is trivial (unanalyzable or unmatchable
     query) — there is nothing to run.
     """
     case = random_case(seed)
     params = dataclasses.replace(
-        case.params, strict_merge=False, engine=engine, **overrides
+        case.params, strict_merge=False, engine="arena"
     )
     system = CIRankSystem.from_database(
         case.db, weights=case.weights, search_params=params
@@ -87,15 +94,11 @@ def _search_for_seed(seed: int, engine: str, **overrides):
     return BranchAndBoundSearch(system.graph, scorer, match, params), match
 
 
-def _tie_classes(answers):
-    """Maximal runs of exactly equal scores, as (score, tree set)."""
-    classes = []
-    for answer in answers:
-        if classes and classes[-1][0] == answer.score:
-            classes[-1][1].add(answer.tree)
-        else:
-            classes.append((answer.score, {answer.tree}))
-    return [(score, frozenset(trees)) for score, trees in classes]
+def _row_tree(arena, cid) -> JoinedTupleTree:
+    """One row's tree through the *validating* constructor — trusting
+    none of the engine's own bookkeeping for it."""
+    edges = [unpack_edge(code) for code in arena.edges_of(cid)]
+    return JoinedTupleTree(list(arena.nodes_of(cid)), edges)
 
 
 # -------------------------------------------------------------- storage
@@ -173,40 +176,55 @@ def test_arena_column_views_are_zero_copy():
         arena.column("cover")  # Python-list side column, not an array
 
 
-# --------------------------------------------------------- engine parity
+# ------------------------------------------------------ oracle agreement
 
 
 def test_snapshot_gap_parity_sweep():
-    """Arena and object final snapshots agree bitwise on the gap.
+    """Every snapshot's certificate holds against the oracle.
 
-    Both engines terminate through the same stop rule, so the final
-    certificate — ``gap = max(0, frontier - kth)`` — must be the same
-    float, and the returned answers the same tie classes.  The arena's
-    snapshots additionally carry the O(1) ``arena_mark`` stamp.
+    The oracle scores the whole answer space with the search's own
+    scorer, so scores compare bitwise.  At every anytime snapshot, the
+    true rank-``r`` score is at most ``max(answers[r], frontier)`` —
+    anything better is already in the list.  The final, proven
+    snapshot has the oracle's exact score profile, a zero gap, and an
+    ``arena_mark`` equal to the arena's final row count.
     """
     compared = 0
     for seed in range(PARITY_SEEDS):
-        built_a = _search_for_seed(seed, "arena")
-        built_o = _search_for_seed(seed, "object")
-        if built_a is None or built_o is None:
+        built = _search_for_seed(seed)
+        if built is None:
             continue
-        arena_search, _ = built_a
-        object_search, _ = built_o
-        a_snap = o_snap = None
-        for a_snap in arena_search.snapshots():
-            assert a_snap.arena_mark is not None
-            assert a_snap.arena_mark <= len(arena_search.last_arena)
-        for o_snap in object_search.snapshots():
-            assert o_snap.arena_mark is None
-        assert a_snap is not None and o_snap is not None
-        assert a_snap.gap == o_snap.gap, f"gap diverges (seed={seed})"
-        assert a_snap.proven_optimal == o_snap.proven_optimal
-        assert _tie_classes(a_snap.answers) == _tie_classes(o_snap.answers), (
-            f"arena and object top-k diverge (seed={seed})"
+        search, match = built
+        params = search.params
+        truth = sorted(
+            (
+                search.scorer.score(tree)
+                for tree in exhaustive_answers(
+                    search.graph, match, params.diameter,
+                    semantics=params.semantics,
+                )
+            ),
+            reverse=True,
+        )[:params.k]
+        snap = None
+        for snap in search.snapshots():
+            assert snap.arena_mark <= len(search.last_arena)
+            for rank, score in enumerate(truth):
+                found = (
+                    snap.answers[rank].score
+                    if rank < len(snap.answers) else float("-inf")
+                )
+                assert score <= max(found, snap.frontier_bound) + (
+                    BOUND_SLACK * (1.0 + abs(score))
+                ), f"certificate broken at rank {rank} (seed={seed})"
+        assert snap is not None and snap.proven_optimal
+        assert [a.score for a in snap.answers] == truth, (
+            f"arena top-k diverges from the oracle (seed={seed})"
         )
-        assert a_snap.arena_mark == len(arena_search.last_arena)
-        assert arena_search.stats.engine == "arena"
-        assert object_search.stats.engine == "object"
+        if truth:
+            assert snap.gap == 0.0, f"proven gap {snap.gap} (seed={seed})"
+        assert snap.arena_mark == len(search.last_arena)
+        assert search.stats.engine == "arena"
         compared += 1
     assert compared >= PARITY_SEEDS // 2, "sweep degenerated to trivia"
 
@@ -218,7 +236,7 @@ def test_rollback_regions_never_reachable():
     rolled_back = 0
     ran = 0
     for seed in range(PARITY_SEEDS):
-        built = _search_for_seed(seed, "arena")
+        built = _search_for_seed(seed)
         if built is None:
             continue
         search, _ = built
@@ -237,31 +255,33 @@ def test_rollback_regions_never_reachable():
 
 
 def test_tightened_ub_matches_reference_bound_bitwise():
-    """``arena.ub[cid]`` equals the object path's from-scratch bound.
+    """``arena.ub[cid]`` equals ``tree_bound`` of the row's tree bitwise.
 
-    For every tightened row (``fmap_start != NO_ID``) the candidate is
-    rebuilt through the *validating* ``CandidateTree.from_arena`` and
-    re-bounded by ``UpperBoundEstimator.upper_bound`` with no shared
-    transfer state.  The arena's tighten pass performs the same float
-    operations in the same order, so equality is exact — any drift
-    means the arena changed the math, not just the bookkeeping.
+    For every tightened row (``fmap_start != NO_ID``) the tree is
+    rebuilt through the validating constructor and re-bounded by
+    ``UpperBoundEstimator.tree_bound``, which rebuilds the transfer
+    factors from the graph and coverage from the match sets.  Both
+    sides run the one ``bound`` over identical factors, so equality is
+    exact — any drift means the arena's incremental factor lists or
+    cover masks diverged from the tree they describe.
     """
     checked = 0
     for seed in range(12):
-        built = _search_for_seed(seed, "arena")
+        built = _search_for_seed(seed)
         if built is None:
             continue
-        search, match = built
+        search, _ = built
         search.run()
         arena = search.last_arena
         rechecked = 0
         for cid in range(len(arena)):
             if arena.fmap_start[cid] == NO_ID:
                 continue  # never tightened: ub is the cheap bound
-            tree = CandidateTree.from_arena(arena, cid, match)
-            reference = search.bounds.upper_bound(tree)
+            reference = search.bounds.tree_bound(
+                _row_tree(arena, cid), arena.root[cid]
+            )
             assert reference == arena.ub[cid], (
-                f"tight bound drifts from the reference "
+                f"tight bound drifts from tree_bound "
                 f"(seed={seed} cid={cid})"
             )
             rechecked += 1

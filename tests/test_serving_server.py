@@ -150,6 +150,7 @@ class TestValidation:
         {"query": "x", "deadline_ms": -5},        # bad deadline
         {"query": "x", "engine": "warp"},         # unknown engine
         {"query": "x", "frobnicate": 1},          # unknown field
+        {"query": "x", "engine": "object"},       # removed engine
     ])
     def test_bad_payloads_are_400(self, server, client, payload):
         with pytest.raises(ServingRequestFailed) as excinfo:

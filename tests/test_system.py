@@ -72,8 +72,15 @@ class TestFacade:
         fresh.build_star_index()
         feedback = FeedbackModel(fresh.graph)
         feedback.record_click(0)
+        importance, dampening = fresh.importance, fresh.dampening
+        epoch = fresh._ranking_epoch
         with pytest.raises(ReproError):
             fresh.apply_feedback(feedback)
+        # The rejection is atomic: the ranking the index was built under
+        # is still the one in force.
+        assert fresh.importance is importance
+        assert fresh.dampening is dampening
+        assert fresh._ranking_epoch == epoch
         fresh.graph_index = None
 
 
